@@ -418,7 +418,8 @@ func BenchmarkSimulatorThroughputMcf(b *testing.B) {
 
 // BenchmarkSimulatorThroughputGenerated is the pre-refactor fused loop —
 // workload generation feeding the DP,256 simulator — kept for continuity
-// with older baselines (generation itself costs ~6 ns/ref of the total).
+// with older baselines (generating swim alone measured 10.2 ns/ref on a
+// 2-vCPU Xeon with Go 1.24; internal/workload's BenchmarkGenerate/swim).
 func BenchmarkSimulatorThroughputGenerated(b *testing.B) {
 	w, _ := tlbprefetch.WorkloadByName("swim")
 	b.ReportAllocs()

@@ -380,10 +380,10 @@ func (a *Alternating) Run(emit EmitFunc, _ *xrand.Rand) bool {
 }
 
 // HotSet models a working set small enough to live in the TLB: Refs
-// references spread over Pages pages (uniform, or Zipf-skewed when Theta >
-// 0). With Pages below the TLB size this produces almost no misses — the
-// eon/g721/pgp-dec regime where "TLB prefetching is not as important for
-// them anyway".
+// references spread over Pages pages (uniform when Theta is 0, Zipf-skewed
+// for Theta in (0, 1)). With Pages below the TLB size this produces almost
+// no misses — the eon/g721/pgp-dec regime where "TLB prefetching is not as
+// important for them anyway".
 type HotSet struct {
 	PC    uint64
 	Base  uint64
@@ -403,9 +403,6 @@ func (h *HotSet) Run(emit EmitFunc, r *xrand.Rand) bool {
 		var idx int
 		if h.zipf != nil {
 			idx = h.zipf.Next(r)
-			if idx >= h.Pages {
-				idx = h.Pages - 1
-			}
 		} else {
 			idx = r.Intn(h.Pages)
 		}

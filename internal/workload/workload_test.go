@@ -180,16 +180,28 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	register(Workload{Name: "gzip", Build: func() []Phase { return nil }})
 }
 
+// genBenchRefs is the stream length one BenchmarkGenerate op produces:
+// long enough that model construction (chase orders, Zipf tables) is a
+// small share, as in a sweep cell.
+const genBenchRefs = 200_000
+
+// BenchmarkGenerate reports each registry workload's generation cost in
+// ns/ref, from a fresh Build as every sweep cell does.
 func BenchmarkGenerate(b *testing.B) {
-	w, _ := ByName("swim")
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		Generate(w, 100000, func(pc, vaddr uint64) bool {
-			sink ^= vaddr
-			return true
+	for _, w := range All() {
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink uint64
+			for b.Loop() {
+				Generate(w, genBenchRefs, func(pc, vaddr uint64) bool {
+					sink ^= vaddr
+					return true
+				})
+			}
+			genSink = sink
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*genBenchRefs), "ns/ref")
 		})
 	}
-	_ = sink
 }
+
+var genSink uint64

@@ -10,8 +10,6 @@
 // algorithms by Vigna et al.).
 package xrand
 
-import "math"
-
 // Rand is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct with New.
 type Rand struct {
@@ -85,49 +83,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent theta in
-// (0, 1]; small indices are hottest. It uses the classic inverse-CDF
-// approximation from Knuth/Gray et al., adequate for workload skew modelling.
-type Zipf struct {
-	n     int
-	alpha float64
-	zetan float64
-	eta   float64
-	theta float64
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with skew theta (0 < theta < 1
-// for classic skew; larger theta = more skew toward index 0).
-func NewZipf(n int, theta float64) *Zipf {
-	z := &Zipf{n: n, theta: theta}
-	z.zetan = zeta(n, theta)
-	zeta2 := zeta(2, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - pow(2.0/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
-	return z
-}
-
-func zeta(n int, theta float64) float64 {
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1.0 / pow(float64(i), theta)
-	}
-	return sum
-}
-
-func pow(x, y float64) float64 { return math.Pow(x, y) }
-
-// Next draws the next Zipf-distributed index using r as the entropy source.
-func (z *Zipf) Next(r *Rand) int {
-	u := r.Float64()
-	uz := u * z.zetan
-	if uz < 1.0 {
-		return 0
-	}
-	if uz < 1.0+pow(0.5, z.theta) {
-		return 1
-	}
-	return int(float64(z.n) * pow(z.eta*u-z.eta+1, z.alpha))
 }

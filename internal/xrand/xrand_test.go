@@ -130,22 +130,6 @@ func TestQuickPerm(t *testing.T) {
 	}
 }
 
-func TestZipfSkewAndBounds(t *testing.T) {
-	r := New(13)
-	z := NewZipf(100, 0.8)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		v := z.Next(r)
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] < counts[50]*3 {
-		t.Fatalf("insufficient skew: head %d vs middle %d", counts[0], counts[50])
-	}
-}
-
 func TestUniformityRough(t *testing.T) {
 	// Chi-squared-ish sanity: 16 buckets over 160k draws should each hold
 	// roughly 10k.

@@ -359,9 +359,10 @@ func throughputMechs() map[string]func() tlbprefetch.Prefetcher {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed (references
-// per second drive every experiment's wall-clock) by replaying a
-// pre-materialized trace through each mechanism's pipeline. ns/op is
+// BenchmarkSimulatorThroughput measures the per-reference Ref path by
+// replaying a pre-materialized trace through each mechanism's pipeline.
+// Sweeps and experiments do not run this path — they feed chunks to
+// RefBatch, which BenchmarkGroupFanout/batch measures. ns/op is
 // ns/reference; allocs/op must be 0 in steady state for the on-chip
 // mechanisms (RP allocates only while its page table is still growing).
 // "swim" exercises the TLB-hit fast path (~1% miss rate); the /mcf
@@ -435,6 +436,10 @@ func BenchmarkSimulatorThroughputGenerated(b *testing.B) {
 // mechanism fan-out of Figure 7 driven per reference, with the canonical
 // shared TLB (the Group default for homogeneous members) against 21
 // independent pipelines. ns/op is ns per reference delivered to the group.
+// The /batch rows drive the same group the way every sweep does, through
+// RefBatch in 4096-reference chunks; there one op is one chunk, and ns/ref
+// is the per-reference cost. swim is hit-dominated and repeats pages;
+// mcf is the miss-heavy stream.
 func BenchmarkGroupFanout(b *testing.B) {
 	refs := benchTrace(b, "swim", 4_000_000)
 	build := func() []*tlbprefetch.Simulator {
@@ -461,6 +466,24 @@ func BenchmarkGroupFanout(b *testing.B) {
 			g.Ref(r.PC, r.VAddr)
 		}
 	})
+	for _, name := range []string{"swim", "mcf"} {
+		refs := benchTrace(b, name, 4_000_000)
+		b.Run("batch/"+name, func(b *testing.B) {
+			g := tlbprefetch.NewGroup(build()...)
+			const chunk = 4096
+			b.ReportAllocs()
+			b.ResetTimer()
+			pos := 0
+			for i := 0; i < b.N; i++ {
+				if pos+chunk > len(refs) {
+					pos = 0
+				}
+				g.RefBatch(refs[pos : pos+chunk])
+				pos += chunk
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/ref")
+		})
+	}
 	b.Run("independent", func(b *testing.B) {
 		members := build()
 		b.ReportAllocs()

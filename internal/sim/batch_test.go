@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
+	"tlbprefetch/internal/core"
+	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/trace"
 	"tlbprefetch/internal/workload"
@@ -22,31 +26,81 @@ func batchTestStream(t *testing.T, wname string, n int) []trace.Ref {
 	return refs
 }
 
+// handmadeStream returns references whose same-page runs (lengths 1 to 5,
+// with the offset and PC varying inside a run) straddle the boundaries of
+// every chunking in batchChunkings. It cycles over 40 pages in a scrambled
+// order, more than the 32-entry test TLBs hold, so pages are evicted
+// and later re-referenced right after a different page.
+func handmadeStream(shift uint) []trace.Ref {
+	var refs []trace.Ref
+	for round := uint64(0); round < 4; round++ {
+		for p := uint64(0); p < 40; p++ {
+			page := p * 7 % 40
+			for k := uint64(0); k <= (p+round)%5; k++ {
+				refs = append(refs, trace.Ref{PC: 0x400000 + 4*k, VAddr: page<<shift | 64*k})
+			}
+		}
+	}
+	return refs
+}
+
+// batchChunkings are the chunk-size cycles the batch tests feed: a ragged
+// one with empty chunks, and uniform sizes that cut same-page runs at
+// every offset.
+var batchChunkings = [][]int{{1, 0, 7, 4096, 333, 65_536}, {1}, {2}, {3}, {4096}}
+
+// batchGeometries are the TLB geometries the batch tests cover: fully
+// associative, 2-way and 4-way set-associative.
+var batchGeometries = []tlb.Config{{Entries: 32}, {Entries: 32, Ways: 2}, {Entries: 32, Ways: 4}}
+
+// feedChunks delivers refs in consecutive chunks whose sizes cycle through
+// sizes, which must contain a positive size.
+func feedChunks(refs []trace.Ref, sizes []int, deliver func([]trace.Ref)) {
+	for pos, k := 0, 0; pos < len(refs); k++ {
+		sz := sizes[k%len(sizes)]
+		if sz > len(refs)-pos {
+			sz = len(refs) - pos
+		}
+		deliver(refs[pos : pos+sz])
+		pos += sz
+	}
+}
+
+// batchStreams returns the streams the batch tests replay at a page shift:
+// a generated workload and the handmade straddling stream.
+func batchStreams(t *testing.T, shift uint) map[string][]trace.Ref {
+	return map[string][]trace.Ref{
+		"mcf":      batchTestStream(t, "mcf", 60_000),
+		"handmade": handmadeStream(shift),
+	}
+}
+
 // TestSimulatorBatchEquivalence is the differential contract of the batched
 // entry points: RefBatch over any chunking of a stream must produce Stats
-// byte-identical to per-reference Ref calls, for every mechanism family.
+// byte-identical to per-reference Ref calls, for every mechanism family,
+// TLB geometry and page size — including the same-page skip across chunk
+// boundaries and after evictions.
 func TestSimulatorBatchEquivalence(t *testing.T) {
-	cfg := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 12}
-	refs := batchTestStream(t, "mcf", 60_000)
-	for i, pf := range equivMechs() {
-		perRef := New(cfg, pf)
-		for _, r := range refs {
-			perRef.Ref(r.PC, r.VAddr)
-		}
-		batched := New(cfg, equivMechs()[i])
-		// Deliberately ragged chunk sizes, including empty chunks.
-		for pos, k := 0, 0; pos < len(refs); k++ {
-			sz := []int{1, 0, 7, 4096, 333, 65_536}[k%6]
-			if sz > len(refs)-pos {
-				sz = len(refs) - pos
+	for _, geom := range batchGeometries {
+		for _, shift := range []uint{12, 21} {
+			cfg := Config{TLB: geom, BufferEntries: 8, PageShift: shift}
+			for sname, refs := range batchStreams(t, shift) {
+				for i, pf := range equivMechs() {
+					perRef := New(cfg, pf)
+					for _, r := range refs {
+						perRef.Ref(r.PC, r.VAddr)
+					}
+					want := perRef.Stats()
+					for _, sizes := range batchChunkings {
+						batched := New(cfg, equivMechs()[i])
+						feedChunks(refs, sizes, batched.RefBatch)
+						if got := batched.Stats(); got != want {
+							t.Errorf("%+v shift %d %s, mechanism %d (%s), chunks %v: batched %+v != per-ref %+v",
+								geom, shift, sname, i, perRef.Prefetcher().Name(), sizes, got, want)
+						}
+					}
+				}
 			}
-			batched.RefBatch(refs[pos : pos+sz])
-			pos += sz
-		}
-		got, want := batched.Stats(), perRef.Stats()
-		if got != want {
-			t.Errorf("mechanism %d (%s): batched %+v != per-ref %+v",
-				i, perRef.Prefetcher().Name(), got, want)
 		}
 	}
 }
@@ -72,42 +126,103 @@ func TestSimulatorRunUsesBatchPath(t *testing.T) {
 }
 
 // TestGroupBatchEquivalence extends the shared-frontend differential
-// contract to RunBatch: a chunk-fed group (both shared and heterogeneous
-// fan-out) must match the per-Ref group exactly.
+// contract to RefBatch and RunBatch: a chunk-fed group (both shared and
+// heterogeneous fan-out) must match the per-Ref group exactly, for every
+// geometry, page size and chunking the Simulator test covers.
 func TestGroupBatchEquivalence(t *testing.T) {
-	refs := batchTestStream(t, "swim", 60_000)
-	homo := Config{TLB: tlb.Config{Entries: 32}, BufferEntries: 8, PageShift: 12}
-	hetero := Config{TLB: tlb.Config{Entries: 64, Ways: 4}, BufferEntries: 8, PageShift: 12}
-
-	for _, shared := range []bool{true, false} {
-		mkGroup := func() *Group {
-			g := NewGroup()
-			for i, pf := range equivMechs() {
-				cfg := homo
-				if !shared && i == 0 {
-					cfg = hetero
+	hetero := tlb.Config{Entries: 64, Ways: 4}
+	for _, geom := range batchGeometries {
+		for _, shift := range []uint{12, 21} {
+			streams := batchStreams(t, shift)
+			streams["swim"] = batchTestStream(t, "swim", 60_000)
+			for sname, refs := range streams {
+				for _, shared := range []bool{true, false} {
+					mkGroup := func() *Group {
+						g := NewGroup()
+						for i, pf := range equivMechs() {
+							cfg := Config{TLB: geom, BufferEntries: 8, PageShift: shift}
+							if !shared && i == 0 {
+								cfg.TLB = hetero
+							}
+							g.Add(New(cfg, pf))
+						}
+						return g
+					}
+					perRef := mkGroup()
+					if perRef.SharedFrontend() != shared {
+						t.Fatalf("shared=%v: unexpected frontend strategy", shared)
+					}
+					for _, r := range refs {
+						perRef.Ref(r.PC, r.VAddr)
+					}
+					check := func(how string, batched *Group) {
+						t.Helper()
+						for i := range perRef.Members() {
+							got := batched.Members()[i].Stats()
+							want := perRef.Members()[i].Stats()
+							if got != want {
+								t.Errorf("%+v shift %d %s shared=%v %s, member %d: batched %+v != per-ref %+v",
+									geom, shift, sname, shared, how, i, got, want)
+							}
+						}
+					}
+					viaRun := mkGroup()
+					if err := viaRun.RunBatch(trace.NewSliceReader(refs)); err != nil {
+						t.Fatal(err)
+					}
+					check("RunBatch", viaRun)
+					for _, sizes := range batchChunkings {
+						batched := mkGroup()
+						feedChunks(refs, sizes, batched.RefBatch)
+						check(fmt.Sprintf("chunks %v", sizes), batched)
+					}
 				}
-				g.Add(New(cfg, pf))
 			}
-			return g
 		}
+	}
+}
+
+// FuzzGroupRefBatch checks the shared frontend's batch path against
+// per-reference delivery on arbitrary streams and chunkings. Each stream
+// byte is one reference over an 8-page alphabet on a 4-entry TLB, so
+// same-page repeats, evictions and re-references of evicted pages are all
+// frequent.
+func FuzzGroupRefBatch(f *testing.F) {
+	f.Add([]byte{0, 0, 8, 1, 1, 2, 3, 4, 0, 0, 5, 13, 5}, []byte{3, 1})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), []byte{2, 0, 5})
+	f.Add(bytes.Repeat([]byte{0x10, 0x18, 0x91, 0x12, 0x23, 0x04, 0x25, 0x06}, 16), []byte{7})
+	cfg := Config{TLB: tlb.Config{Entries: 4}, BufferEntries: 2, PageShift: 12}
+	mkGroup := func() *Group {
+		return NewGroup(New(cfg, nil), New(cfg, core.NewDistance(16, 1, 2)), New(cfg, prefetch.NewSBFP()))
+	}
+	f.Fuzz(func(t *testing.T, stream, chunking []byte) {
+		// The low 3 bits pick the page; the high bits vary the offset
+		// within it and the PC.
+		refs := make([]trace.Ref, len(stream))
+		for i, b := range stream {
+			refs[i] = trace.Ref{PC: 0x1000 + 4*uint64(b>>5), VAddr: uint64(b&7)<<12 | 64*uint64(b>>3)}
+		}
+		// Chunk sizes follow the chunking bytes (mod 16, zero being an
+		// empty chunk); a final whole-stream size guarantees progress.
+		sizes := make([]int, 0, len(chunking)+1)
+		for _, c := range chunking {
+			sizes = append(sizes, int(c%16))
+		}
+		sizes = append(sizes, len(refs))
+
 		perRef := mkGroup()
-		if perRef.SharedFrontend() != shared {
-			t.Fatalf("shared=%v: unexpected frontend strategy", shared)
+		if !perRef.SharedFrontend() {
+			t.Fatal("homogeneous group did not share the frontend")
 		}
 		for _, r := range refs {
 			perRef.Ref(r.PC, r.VAddr)
 		}
 		batched := mkGroup()
-		if err := batched.RunBatch(trace.NewSliceReader(refs)); err != nil {
-			t.Fatal(err)
-		}
+		feedChunks(refs, sizes, batched.RefBatch)
 		for i := range perRef.Members() {
-			got := batched.Members()[i].Stats()
-			want := perRef.Members()[i].Stats()
-			if got != want {
-				t.Errorf("shared=%v member %d: batched %+v != per-ref %+v", shared, i, got, want)
+			if got, want := batched.Members()[i].Stats(), perRef.Members()[i].Stats(); got != want {
+				t.Fatalf("member %d, chunks %v: batched %+v != per-ref %+v", i, sizes, got, want)
 			}
 		}
-	}
+	})
 }

@@ -15,11 +15,13 @@ import (
 // as if run separately. Group exploits that: when every member shares the
 // same TLB geometry and page size (the common case — experiments.RunApp
 // runs 21 mechanism configurations against one TLB configuration), it runs
-// a single canonical TLB as a shared frontend. Each reference probes that
-// one TLB once, and only misses fan out to the members' private
-// buffer+mechanism back halves — collapsing N-way redundant probe work
-// into one probe while producing bit-identical per-member statistics
-// (pinned by TestGroupSharedFrontendEquivalence).
+// a single canonical TLB as a shared frontend. Only misses fan out to the
+// members' private buffer+mechanism back halves — collapsing N-way
+// redundant probe work into one probe while producing bit-identical
+// per-member statistics (pinned by TestGroupSharedFrontendEquivalence).
+// In RefBatch a TLB hit costs the same whatever the member count: a
+// reference to the previous reference's page skips even that one probe,
+// and each member's Refs is counted once per batch, not per reference.
 //
 // Members with heterogeneous geometry fall back to full independent
 // fan-out transparently.
@@ -114,7 +116,8 @@ func (g *Group) Ref(pc, vaddr uint64) {
 
 // RefBatch delivers a chunk of references to every member — exactly
 // len(refs) calls to Ref with the strategy decision and canonical-TLB
-// loads hoisted out of the loop.
+// loads hoisted out of the loop, Refs counted once per member per chunk
+// and same-page repeats skipping the probe, as in Simulator.RefBatch.
 func (g *Group) RefBatch(refs []trace.Ref) {
 	if len(refs) == 0 {
 		return
@@ -129,20 +132,27 @@ func (g *Group) RefBatch(refs []trace.Ref) {
 		}
 		return
 	}
+	for _, m := range g.members {
+		m.stat.Refs += uint64(len(refs))
+	}
 	front := g.members[0]
 	shift := front.cfg.PageShift
 	t := front.tlb
+	prev := refs[0].VAddr>>shift + 1 // matches no page of the first reference
 	for i := range refs {
 		vpn := refs[i].VAddr >> shift
+		if vpn == prev {
+			// The previous reference left this page MRU in the canonical
+			// TLB, which only Access and Insert mutate: an exact hit with
+			// no recency change (the argument in Simulator.RefBatch).
+			continue
+		}
+		prev = vpn
 		if t.Access(vpn) {
-			for _, m := range g.members {
-				m.stat.Refs++
-			}
 			continue
 		}
 		evicted, hasEvicted := t.Insert(vpn)
 		for _, m := range g.members {
-			m.stat.Refs++
 			m.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
 		}
 	}

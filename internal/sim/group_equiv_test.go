@@ -20,8 +20,13 @@ func equivMechs() []prefetch.Prefetcher {
 		prefetch.NewASP(64, 1),
 		prefetch.NewMarkov(64, 1, 2),
 		prefetch.NewRecency(),
+		prefetch.NewRecencyDegree(3),
 		core.NewDistance(64, 1, 2),
+		core.NewDistancePC(64, 1, 2),
 		core.NewDistance2(64, 1, 2),
+		prefetch.NewSTMS(1024, 1, 2),
+		prefetch.NewMASP(64, 1, 2),
+		prefetch.NewSBFP(),
 	}
 }
 

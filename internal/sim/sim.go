@@ -194,14 +194,32 @@ func (s *Simulator) SwapPrefetcher(pf prefetch.Prefetcher) {
 }
 
 // RefBatch simulates a chunk of references. It is exactly len(refs) calls
-// to Ref without the per-reference call overhead: the hot TLB-hit path
-// runs inline over the slice.
+// to Ref without the per-reference costs whose result is already known:
+// Refs is counted once per chunk, and a reference to the page the previous
+// one touched skips the TLB probe. Counting Refs up front is exact because
+// neither Stats nor ResetStats can run inside the call.
 func (s *Simulator) RefBatch(refs []trace.Ref) {
+	if len(refs) == 0 {
+		return
+	}
 	shift := s.cfg.PageShift
 	t := s.tlb
+	s.stat.Refs += uint64(len(refs))
+	prev := refs[0].VAddr>>shift + 1 // matches no page of the first reference
 	for i := range refs {
-		s.stat.Refs++
 		vpn := refs[i].VAddr >> shift
+		if vpn == prev {
+			// Once a reference completes — by a hit, which promotes its
+			// page to MRU, or by a miss, whose fill inserts it at MRU — its
+			// page is the MRU entry of its set. Nothing else mutates the
+			// TLB inside this loop (Contains and the prefetch buffer never
+			// touch it), so a repeat of the previous reference's page is a
+			// hit that changes no recency state. prev lives in a register
+			// for one chunk: a field stored on every hit would slow the
+			// streams that never repeat.
+			continue
+		}
+		prev = vpn
 		if t.Access(vpn) {
 			continue
 		}

@@ -162,6 +162,43 @@ func NewTiming(cfg TimingConfig, pf prefetch.Prefetcher) *TimingSimulator {
 
 // Ref simulates one memory reference and advances the clock.
 func (s *TimingSimulator) Ref(pc, vaddr uint64) {
+	s.tick()
+	s.stat.Refs++
+	vpn := vaddr >> s.cfg.PageShift
+	if s.tlb.Access(vpn) {
+		return
+	}
+	s.miss(pc, vpn)
+}
+
+// RefBatch simulates a chunk of references — exactly len(refs) calls to
+// Ref. The clock advances for every reference; only the TLB probe of a
+// reference to the previous reference's page is skipped, which is exact
+// for the reason given in Simulator.RefBatch (the miss path below mutates
+// the TLB only through its Insert of the missing page).
+func (s *TimingSimulator) RefBatch(refs []trace.Ref) {
+	if len(refs) == 0 {
+		return
+	}
+	shift := s.cfg.PageShift
+	s.stat.Refs += uint64(len(refs))
+	prev := refs[0].VAddr>>shift + 1 // matches no page of the first reference
+	for i := range refs {
+		s.tick()
+		vpn := refs[i].VAddr >> shift
+		if vpn == prev {
+			continue
+		}
+		prev = vpn
+		if s.tlb.Access(vpn) {
+			continue
+		}
+		s.miss(refs[i].PC, vpn)
+	}
+}
+
+// tick charges one reference's base cost to the clock.
+func (s *TimingSimulator) tick() {
 	rpc := s.cfg.RefsPerCycle
 	if rpc == 0 {
 		rpc = 1
@@ -171,11 +208,11 @@ func (s *TimingSimulator) Ref(pc, vaddr uint64) {
 		s.now += s.cfg.CyclesPerRef
 		s.refAccum = 0
 	}
-	s.stat.Refs++
-	vpn := vaddr >> s.cfg.PageShift
-	if s.tlb.Access(vpn) {
-		return
-	}
+}
+
+// miss services one TLB miss: the stall, the fill, the mechanism callback
+// and the prefetch issue over the channel.
+func (s *TimingSimulator) miss(pc, vpn uint64) {
 	s.stat.Misses++
 
 	readyAt, bufferHit := s.buf.TakeOut(vpn)

@@ -204,3 +204,39 @@ func TestTimingReset(t *testing.T) {
 		t.Fatalf("reset left state: %+v", st)
 	}
 }
+
+// TestTimingBatchEquivalence pins TimingSimulator.RefBatch to per-reference
+// Ref: over ragged chunkings the clock, stalls and every counter must match
+// exactly, for every mechanism — RP with its busy-channel skip rule too.
+func TestTimingBatchEquivalence(t *testing.T) {
+	cfg := DefaultTiming()
+	cfg.TLB = tlb.Config{Entries: 32}
+	cfg.BufferEntries = 8
+	if !cfg.RPSkipWhenBusy {
+		t.Fatal("default timing config no longer enables the RP skip rule")
+	}
+	var rpSkips uint64
+	for _, wname := range []string{"mcf", "gzip"} {
+		refs := batchTestStream(t, wname, 60_000)
+		for i, pf := range equivMechs() {
+			perRef := NewTiming(cfg, pf)
+			for _, r := range refs {
+				perRef.Ref(r.PC, r.VAddr)
+			}
+			batched := NewTiming(cfg, equivMechs()[i])
+			feedChunks(refs, []int{1, 0, 7, 4096, 333}, batched.RefBatch)
+			got, want := batched.Stats(), perRef.Stats()
+			name := perRef.pf.Name()
+			if got != want {
+				t.Errorf("%s, mechanism %d (%s): batched %+v != per-ref %+v",
+					wname, i, name, got, want)
+			}
+			if name == "RP" {
+				rpSkips += want.SkippedPref
+			}
+		}
+	}
+	if rpSkips == 0 {
+		t.Error("the streams never exercised RP's skip-when-busy rule")
+	}
+}

@@ -508,12 +508,11 @@ func (r *Runner) runTimingShard(sh *shard, jobs []Job, resolve func(string) (wor
 	// Sim-outer over each chunk: every TimingSimulator owns its clock and
 	// shares no state with the others, so walking the chunk once per sim is
 	// bit-identical to the ref-outer order while touching each sim's state
-	// in long cache-friendly runs.
+	// in long cache-friendly runs. Timing jobs carry no warmup (Validate
+	// rejects it), so no chunk needs splitting at a statistics reset.
 	err := r.stream(sh, resolve, sh.key.refs, func(refs []trace.Ref) {
 		for _, s := range sims {
-			for i := range refs {
-				s.Ref(refs[i].PC, refs[i].VAddr)
-			}
+			s.RefBatch(refs)
 		}
 	})
 	if err != nil {

@@ -59,9 +59,6 @@ func (c Config) Validate() error {
 type TLB struct {
 	cfg Config
 	s   *assoc.Store[struct{}]
-
-	accesses uint64
-	misses   uint64
 }
 
 // New builds a TLB. It panics on an invalid configuration (geometry is a
@@ -82,15 +79,10 @@ func (t *TLB) Config() Config { return t.cfg }
 // fill happens later via Insert, after the miss has been serviced (from the
 // prefetch buffer or the page table).
 func (t *TLB) Access(vpn uint64) bool {
-	t.accesses++
-	if t.s.Touch(vpn) {
-		return true
-	}
-	t.misses++
-	return false
+	return t.s.Touch(vpn)
 }
 
-// Contains probes without touching recency or statistics.
+// Contains probes without touching recency.
 func (t *TLB) Contains(vpn uint64) bool {
 	return t.s.Has(vpn)
 }
@@ -111,22 +103,9 @@ func (t *TLB) Insert(vpn uint64) (evicted uint64, wasEvicted bool) {
 // Len returns the number of resident translations.
 func (t *TLB) Len() int { return t.s.Len() }
 
-// Stats returns access and miss counters.
-func (t *TLB) Stats() (accesses, misses uint64) { return t.accesses, t.misses }
-
-// MissRate returns misses/accesses (0 when no accesses), the m_i used in the
-// paper's Table 2 weighting.
-func (t *TLB) MissRate() float64 {
-	if t.accesses == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(t.accesses)
-}
-
-// Reset empties the TLB and clears statistics.
+// Reset empties the TLB.
 func (t *TLB) Reset() {
 	t.s.Reset()
-	t.accesses, t.misses = 0, 0
 }
 
 // Resident returns all resident VPNs (set by set, MRU first within a set);

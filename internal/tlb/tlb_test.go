@@ -34,16 +34,15 @@ func TestAccessMissThenInsert(t *testing.T) {
 	if tl.Access(10) {
 		t.Fatal("hit in empty TLB")
 	}
+	if tl.Len() != 0 {
+		t.Fatalf("Len = %d after a miss, want 0 (Access must not fill)", tl.Len())
+	}
 	tl.Insert(10)
 	if !tl.Access(10) {
 		t.Fatal("miss after insert")
 	}
-	acc, miss := tl.Stats()
-	if acc != 2 || miss != 1 {
-		t.Fatalf("stats = %d,%d; want 2,1", acc, miss)
-	}
-	if got := tl.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate = %v, want 0.5", got)
+	if tl.Len() != 1 {
+		t.Fatalf("Len = %d after one fill and a hit, want 1", tl.Len())
 	}
 }
 
@@ -104,11 +103,8 @@ func TestReset(t *testing.T) {
 	if tl.Len() != 0 {
 		t.Fatal("nonzero Len after Reset")
 	}
-	if a, m := tl.Stats(); a != 0 || m != 0 {
-		t.Fatal("nonzero stats after Reset")
-	}
-	if tl.MissRate() != 0 {
-		t.Fatal("MissRate should be 0 with no accesses")
+	if tl.Access(1) {
+		t.Fatal("hit after Reset")
 	}
 }
 

@@ -18,152 +18,126 @@ import (
 
 	"tlbprefetch"
 	"tlbprefetch/internal/prof"
+	"tlbprefetch/internal/sweep"
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "tlbsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line and runs the simulation it describes. Every
+// configuration — simulator, cycle model, mechanism — is validated before
+// anything is built, so bad input is an error, never a panic.
+func run(args []string) error {
+	fs := flag.NewFlagSet("tlbsim", flag.ExitOnError)
 	var (
-		workloadName = flag.String("workload", "", "workload model to run (see -list)")
-		traceFile    = flag.String("trace", "", "binary or text trace file to run instead of a workload")
-		traceText    = flag.Bool("text", false, "treat -trace as the text format")
-		mech         = flag.String("mech", "DP", "mechanism: DP, DP-PC, DP2, RP, RP3, MP, ASP, SP, SP-A, STMS, MASP, SBFP, none")
-		rows         = flag.Int("rows", 256, "prediction table rows r (DP/MP/ASP)")
-		ways         = flag.Int("ways", 1, "prediction table associativity (DP/MP/ASP)")
-		slots        = flag.Int("slots", 2, "prediction slots per row s (DP/MP)")
-		refs         = flag.Uint64("refs", 1_000_000, "references to simulate (workload mode)")
-		tlbEntries   = flag.Int("tlb", 128, "TLB entries")
-		tlbWays      = flag.Int("tlbways", 0, "TLB associativity (0 = fully associative)")
-		buffer       = flag.Int("buffer", 16, "prefetch buffer entries")
-		pageShift    = flag.Uint("pageshift", 12, "log2 of the page size")
-		timing       = flag.Bool("timing", false, "use the cycle model (paper Table 3)")
-		missPenalty  = flag.Uint64("miss-penalty", 0, "TLB miss penalty in cycles, memop/buffer-hit costs scale with it (implies -timing; 0 = paper default 100)")
-		memopLat     = flag.Uint64("memop-latency", 0, "prefetch memory-op latency in cycles (implies -timing; 0 = half the miss penalty)")
-		list         = flag.Bool("list", false, "list the available workload models")
-		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf      = flag.String("memprofile", "", "write a heap profile to this file")
+		workloadName = fs.String("workload", "", "workload model to run (see -list)")
+		traceFile    = fs.String("trace", "", "binary or text trace file to run instead of a workload")
+		traceText    = fs.Bool("text", false, "treat -trace as the text format")
+		mech         = fs.String("mech", "DP", "mechanism (case-insensitive): "+strings.Join(sweep.Kinds(), ", "))
+		rows         = fs.Int("rows", 256, "prediction table rows r (DP/MP/ASP)")
+		ways         = fs.Int("ways", 1, "prediction table associativity (DP/MP/ASP)")
+		slots        = fs.Int("slots", 2, "prediction slots per row s (DP/MP)")
+		refs         = fs.Uint64("refs", 1_000_000, "references to simulate (workload mode)")
+		tlbEntries   = fs.Int("tlb", 128, "TLB entries")
+		tlbWays      = fs.Int("tlbways", 0, "TLB associativity (0 = fully associative)")
+		buffer       = fs.Int("buffer", 16, "prefetch buffer entries")
+		pageShift    = fs.Uint("pageshift", 12, "log2 of the page size")
+		timing       = fs.Bool("timing", false, "use the cycle model (paper Table 3)")
+		missPenalty  = fs.Uint64("miss-penalty", 0, "TLB miss penalty in cycles, memop/buffer-hit costs scale with it (implies -timing; 0 = paper default 100)")
+		memopLat     = fs.Uint64("memop-latency", 0, "prefetch memory-op latency in cycles (implies -timing; 0 = half the miss penalty)")
+		list         = fs.Bool("list", false, "list the available workload models")
+		cpuProf      = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf      = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with the usage
 
 	if *list {
 		fmt.Printf("%-14s %-18s %s\n", "name", "suite", "model")
 		for _, w := range tlbprefetch.Workloads() {
 			fmt.Printf("%-14s %-18s %s\n", w.Name, w.Suite, w.PaperNote)
 		}
-		return
+		return nil
 	}
 
 	// Reject contradictory flag combinations up front instead of silently
 	// preferring one input source.
 	switch {
 	case *workloadName != "" && *traceFile != "":
-		fatal("-workload and -trace are mutually exclusive: pick one input source")
+		return fmt.Errorf("-workload and -trace are mutually exclusive: pick one input source")
 	case *traceText && *traceFile == "":
-		fatal("-text only applies to trace runs: it requires -trace")
+		return fmt.Errorf("-text only applies to trace runs: it requires -trace")
 	case *workloadName == "" && *traceFile == "":
-		fatal("need -workload or -trace (or -list)")
+		return fmt.Errorf("need -workload or -trace (or -list)")
 	}
 
+	cfg := tlbprefetch.Config{
+		TLB:           tlbprefetch.TLBConfig{Entries: *tlbEntries, Ways: *tlbWays},
+		BufferEntries: *buffer,
+		PageShift:     *pageShift,
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	// Either timing-constant flag opts into the cycle model.
 	if *missPenalty != 0 || *memopLat != 0 {
 		*timing = true
 	}
-	if err := run(*workloadName, *traceFile, *traceText, *mech, *rows, *ways, *slots,
-		*refs, *tlbEntries, *tlbWays, *buffer, *pageShift, *timing, *missPenalty, *memopLat,
-		*cpuProf, *memProf); err != nil {
-		fatal(err.Error())
+	tc := tlbprefetch.DefaultTimingConfig()
+	if *missPenalty != 0 {
+		// Same recalibration tlbsweep's -miss-penalty axis uses, so a
+		// tlbsim spot check reproduces a swept cell's cycle counts.
+		tc = tlbprefetch.ScaledTimingConfig(*missPenalty)
 	}
-}
+	tc.Config = cfg
+	if *memopLat != 0 {
+		tc.MemOpLatency = *memopLat
+		// An explicit latency below the channel occupancy means the
+		// channel is fully serialized at that latency (same rule as
+		// tlbsweep's -memop-latency axis).
+		if tc.MemOpOccupancy > tc.MemOpLatency {
+			tc.MemOpOccupancy = tc.MemOpLatency
+		}
+	}
+	if *timing {
+		if err := tc.Validate(); err != nil {
+			return err
+		}
+	}
+	m := sweep.Mech{Kind: sweep.ParseKind(*mech), Rows: *rows, Ways: *ways, Slots: *slots}
+	if err := m.Validate(); err != nil {
+		return err
+	}
 
-func run(workloadName, traceFile string, traceText bool, mech string, rows, ways, slots int,
-	refs uint64, tlbEntries, tlbWays, buffer int, pageShift uint, timing bool,
-	missPenalty, memopLat uint64, cpuProf, memProf string) error {
-	stopProf, err := prof.Start("tlbsim", cpuProf, memProf)
+	stopProf, err := prof.Start("tlbsim", *cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
 	defer stopProf()
 
-	pf, err := buildMechanism(mech, rows, ways, slots)
-	if err != nil {
-		return err
+	pf := m.Build()
+	if *traceFile != "" {
+		return runTrace(cfg, tc, pf, *traceFile, *traceText, *timing)
 	}
-
-	cfg := tlbprefetch.Config{
-		TLB:           tlbprefetch.TLBConfig{Entries: tlbEntries, Ways: tlbWays},
-		BufferEntries: buffer,
-		PageShift:     pageShift,
-	}
-	timingConfig := func() tlbprefetch.TimingConfig {
-		tc := tlbprefetch.DefaultTimingConfig()
-		if missPenalty != 0 {
-			// Same recalibration tlbsweep's -miss-penalty axis uses, so a
-			// tlbsim spot check reproduces a swept cell's cycle counts.
-			tc = tlbprefetch.ScaledTimingConfig(missPenalty)
-		}
-		tc.Config = cfg
-		if memopLat != 0 {
-			tc.MemOpLatency = memopLat
-			// An explicit latency below the channel occupancy means the
-			// channel is fully serialized at that latency (same rule as
-			// tlbsweep's -memop-latency axis).
-			if tc.MemOpOccupancy > tc.MemOpLatency {
-				tc.MemOpOccupancy = tc.MemOpLatency
-			}
-		}
-		return tc
-	}
-
-	if traceFile != "" {
-		return runTrace(cfg, timingConfig, pf, traceFile, traceText, timing)
-	}
-	w, ok := tlbprefetch.WorkloadByName(workloadName)
+	w, ok := tlbprefetch.WorkloadByName(*workloadName)
 	if !ok {
-		return fmt.Errorf("unknown workload %q (try -list)", workloadName)
+		return fmt.Errorf("unknown workload %q (try -list)", *workloadName)
 	}
-	if timing {
-		tc := timingConfig()
-		base := tlbprefetch.RunWorkloadTimed(tc, nil, w, refs)
-		st := tlbprefetch.RunWorkloadTimed(tc, pf, w, refs)
+	if *timing {
+		base := tlbprefetch.RunWorkloadTimed(tc, nil, w, *refs)
+		st := tlbprefetch.RunWorkloadTimed(tc, pf, w, *refs)
 		printTiming(st, base.Cycles)
 	} else {
-		st := tlbprefetch.RunWorkload(cfg, pf, w, refs)
+		st := tlbprefetch.RunWorkload(cfg, pf, w, *refs)
 		printStats(st)
 	}
 	return nil
 }
 
-func buildMechanism(kind string, rows, ways, slots int) (tlbprefetch.Prefetcher, error) {
-	switch strings.ToUpper(kind) {
-	case "DP":
-		return tlbprefetch.NewDistance(rows, ways, slots), nil
-	case "DP-PC":
-		return tlbprefetch.NewDistancePC(rows, ways, slots), nil
-	case "DP2":
-		return tlbprefetch.NewDistance2(rows, ways, slots), nil
-	case "RP":
-		return tlbprefetch.NewRecency(), nil
-	case "RP3":
-		return tlbprefetch.NewRecencyDegree(3), nil
-	case "MP":
-		return tlbprefetch.NewMarkov(rows, ways, slots), nil
-	case "ASP":
-		return tlbprefetch.NewASP(rows, ways), nil
-	case "SP":
-		return tlbprefetch.NewSequential(true), nil
-	case "SP-A":
-		return tlbprefetch.NewAdaptiveSequential(), nil
-	case "STMS":
-		return tlbprefetch.NewSTMS(rows, ways, slots), nil
-	case "MASP":
-		return tlbprefetch.NewMASP(rows, ways, slots), nil
-	case "SBFP":
-		return tlbprefetch.NewSBFP(), nil
-	case "NONE":
-		return nil, nil
-	}
-	return nil, fmt.Errorf("unknown mechanism %q", kind)
-}
-
-func runTrace(cfg tlbprefetch.Config, timingConfig func() tlbprefetch.TimingConfig,
+func runTrace(cfg tlbprefetch.Config, tc tlbprefetch.TimingConfig,
 	pf tlbprefetch.Prefetcher, path string, text, timing bool) error {
 	var r tlbprefetch.TraceReader
 	if text {
@@ -185,7 +159,7 @@ func runTrace(cfg tlbprefetch.Config, timingConfig func() tlbprefetch.TimingConf
 		r = or
 	}
 	if timing {
-		s := tlbprefetch.NewTimingSimulator(timingConfig(), pf)
+		s := tlbprefetch.NewTimingSimulator(tc, pf)
 		if err := s.Run(r); err != nil {
 			return err
 		}
@@ -222,9 +196,4 @@ func printTiming(st tlbprefetch.TimingStats, baselineCycles uint64) {
 		fmt.Printf("normalized cycles   %12.3f  (vs no prefetching)\n",
 			float64(st.Cycles)/float64(baselineCycles))
 	}
-}
-
-func fatal(msg string) {
-	fmt.Fprintln(os.Stderr, "tlbsim:", msg)
-	os.Exit(1)
 }

@@ -512,7 +512,7 @@ func buildGrid(cfg sweepConfig) (sweep.Grid, error) {
 		return g, err
 	}
 	for _, kind := range strings.Split(cfg.mechs, ",") {
-		kind = canonicalKind(strings.TrimSpace(kind))
+		kind = sweep.ParseKind(strings.TrimSpace(kind))
 		for _, r := range rowAxis {
 			for _, w := range wayAxis {
 				for _, s := range slotAxis {
@@ -631,17 +631,6 @@ func splitAxis(spec string) []string {
 		}
 	}
 	return out
-}
-
-// canonicalKind maps case-insensitive user input onto the registry's
-// mechanism spelling.
-func canonicalKind(kind string) string {
-	switch up := strings.ToUpper(kind); up {
-	case "NONE":
-		return "none"
-	default:
-		return up
-	}
 }
 
 // resolveWorkloads expands each comma-separated token — a workload name, a

@@ -110,7 +110,7 @@ func (g *Group) Ref(pc, vaddr uint64) {
 	evicted, hasEvicted := front.tlb.Insert(vpn)
 	for _, m := range g.members {
 		m.stat.Refs++
-		m.miss(pc, vpn, evicted, hasEvicted, front.tlb)
+		m.miss(pc, vpn, evicted, hasEvicted, front.tlb, 0)
 	}
 }
 
@@ -153,7 +153,7 @@ func (g *Group) RefBatch(refs []trace.Ref) {
 		}
 		evicted, hasEvicted := t.Insert(vpn)
 		for _, m := range g.members {
-			m.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
+			m.miss(refs[i].PC, vpn, evicted, hasEvicted, t, len(refs)-1-i)
 		}
 	}
 }

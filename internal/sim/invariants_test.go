@@ -97,10 +97,11 @@ func TestQuickTimingMonotone(t *testing.T) {
 		var last uint64
 		for i, r := range raw {
 			s.Ref(uint64(i%5), uint64(r%512)<<12)
-			if s.Now() < last {
+			now := s.Stats().Cycles
+			if now < last {
 				return false
 			}
-			last = s.Now()
+			last = now
 		}
 		st := s.Stats()
 		return st.Cycles >= st.StallCycles

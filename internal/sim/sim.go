@@ -3,12 +3,14 @@
 // every TLB miss is reported to the attached prefetching mechanism, whose
 // predictions are fetched into the buffer.
 //
-// Two simulators are provided. Simulator is the functional one behind the
-// prediction-accuracy results (Figures 7-9, Table 2): it counts events but
-// not cycles, like the paper's sim-cache runs. TimingSimulator adds the
-// cycle accounting of the paper's Table 3 experiment (sim-outorder runs):
-// TLB miss penalty, prefetch-channel contention and in-flight prefetch
-// stalls.
+// There is one pipeline, Simulator, under two accountings. Built by New it
+// is functional, behind the prediction-accuracy results (Figures 7-9,
+// Table 2): it counts events but not cycles, like the paper's sim-cache
+// runs. Built by NewTiming it also carries the cycle model of the paper's
+// Table 3 experiment (sim-outorder runs) — TLB miss penalty,
+// prefetch-channel contention and in-flight prefetch stalls — which is
+// consulted only on the miss path, so timed and functional simulators
+// share the same reference loops and the same Group frontend.
 package sim
 
 import (
@@ -95,7 +97,9 @@ func (s Stats) MissRate() float64 {
 // metadata maintenance plus prefetch fetches.
 func (s Stats) MemOps() uint64 { return s.StateMemOps + s.PrefetchesIssued }
 
-// Simulator is the functional TLB + prefetch-buffer + mechanism pipeline.
+// Simulator is the TLB + prefetch-buffer + mechanism pipeline. A simulator
+// built by NewTiming also carries the cycle model, which only its miss
+// path consults; one built by New is purely functional.
 type Simulator struct {
 	cfg  Config
 	tlb  *tlb.TLB
@@ -108,6 +112,10 @@ type Simulator struct {
 	// prediction batch once and is never reallocated afterwards, keeping
 	// the per-reference path allocation-free.
 	scratch []uint64
+
+	// cost is the cycle model (see NewTiming); nil for a functional
+	// simulator.
+	cost *costModel
 }
 
 // New builds a simulator around the given mechanism. A nil mechanism means
@@ -141,18 +149,20 @@ func (s *Simulator) Ref(pc, vaddr uint64) {
 		return
 	}
 	evicted, hasEvicted := s.tlb.Insert(vpn)
-	s.miss(pc, vpn, evicted, hasEvicted, s.tlb)
+	s.miss(pc, vpn, evicted, hasEvicted, s.tlb, 0)
 }
 
 // miss runs the back half of the pipeline for one TLB miss: the buffer
 // probe, the mechanism callback and the prefetch issue, checking duplicate
 // residency against t (the simulator's own TLB, or the canonical TLB when
-// driven by a shared-frontend Group).
-func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb.TLB) {
+// driven by a shared-frontend Group). rest is the number of references
+// after this one that Refs already counts (the remainder of a batch);
+// only the cycle model needs the missing reference's ordinal.
+func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb.TLB, rest int) {
 	s.stat.Misses++
 
 	// Probe the prefetch buffer; a hit migrates the entry into the TLB.
-	_, bufferHit := s.buf.TakeOut(vpn)
+	readyAt, bufferHit := s.buf.TakeOut(vpn)
 	if bufferHit {
 		s.stat.BufferHits++
 	} else {
@@ -166,7 +176,14 @@ func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb
 		EvictedVPN: evicted,
 		HasEvicted: hasEvicted,
 	}, s.scratch[:0])
+	if cap(act.Prefetches) > cap(s.scratch) {
+		s.scratch = act.Prefetches
+	}
 	s.stat.StateMemOps += uint64(act.StateMemOps)
+	if s.cost != nil {
+		s.cost.miss(s, t, act, bufferHit, readyAt, s.stat.Refs-uint64(rest))
+		return
+	}
 	for _, p := range act.Prefetches {
 		s.stat.PrefetchesRequested++
 		if t.Contains(p) || s.buf.Contains(p) {
@@ -175,9 +192,6 @@ func (s *Simulator) miss(pc, vpn uint64, evicted uint64, hasEvicted bool, t *tlb
 		}
 		s.buf.Insert(p, 0)
 		s.stat.PrefetchesIssued++
-	}
-	if cap(act.Prefetches) > cap(s.scratch) {
-		s.scratch = act.Prefetches
 	}
 }
 
@@ -191,6 +205,9 @@ func (s *Simulator) SwapPrefetcher(pf prefetch.Prefetcher) {
 		pf = prefetch.Nop{}
 	}
 	s.pf = pf
+	if s.cost != nil {
+		s.cost.isRP = pf.Name() == "RP"
+	}
 }
 
 // RefBatch simulates a chunk of references. It is exactly len(refs) calls
@@ -224,7 +241,7 @@ func (s *Simulator) RefBatch(refs []trace.Ref) {
 			continue
 		}
 		evicted, hasEvicted := t.Insert(vpn)
-		s.miss(refs[i].PC, vpn, evicted, hasEvicted, t)
+		s.miss(refs[i].PC, vpn, evicted, hasEvicted, t, len(refs)-1-i)
 	}
 }
 
@@ -274,12 +291,15 @@ func (s *Simulator) TLB() *tlb.TLB { return s.tlb }
 func (s *Simulator) Buffer() *tlb.PrefetchBuffer { return s.buf }
 
 // Reset returns the simulator to its initial state, including the attached
-// mechanism.
+// mechanism and the cycle model.
 func (s *Simulator) Reset() {
 	s.tlb.Reset()
 	s.buf.Reset()
 	s.pf.Reset()
 	s.stat = Stats{}
+	if s.cost != nil {
+		s.cost.reset()
+	}
 }
 
 // ResetStats clears the counters while keeping all simulation state (TLB,
@@ -287,7 +307,12 @@ func (s *Simulator) Reset() {
 // after a warmup period, the counterpart of the paper's 2B-instruction
 // fast-forward. The buffer starts a new statistics epoch so warmup-era
 // prefetches do not leak into the measurement window's unused count.
+// A timed simulator has no fast-forward — its clock is derived from the
+// reference count — so ResetStats panics on one.
 func (s *Simulator) ResetStats() {
+	if s.cost != nil {
+		panic("sim: ResetStats on a timed simulator (the cycle model has no statistics fast-forward)")
+	}
 	s.stat = Stats{}
 	s.buf.BeginEpoch()
 }

@@ -2,12 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"tlbprefetch/internal/memsys"
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/tlb"
-	"tlbprefetch/internal/trace"
 )
 
 // TimingConfig extends Config with the cycle model of the paper's Table 3
@@ -118,167 +116,87 @@ func (s TimingStats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Refs)
 }
 
-// TimingSimulator adds the cycle model to the functional pipeline. The
-// prefetch channel serializes metadata and prefetch operations; demand
-// fetches cost the fixed miss penalty and do not contend with prefetch
-// traffic (the paper's RP-favouring assumption).
-type TimingSimulator struct {
+// costModel is the cycle accounting of the paper's Table 3 experiment,
+// attached to a Simulator by NewTiming and consulted only on the miss
+// path. The prefetch channel serializes metadata and prefetch operations;
+// demand fetches cost the fixed miss penalty and do not contend with
+// prefetch traffic (the paper's RP-favouring assumption).
+//
+// The clock is not state. Every reference costs CyclesPerRef per
+// RefsPerCycle references and every miss adds its stall, so the clock at
+// the k-th reference is
+//
+//	CyclesPerRef·⌊k/RefsPerCycle⌋ + (stalls of the misses before it)
+//
+// and a TLB hit needs no cycle bookkeeping at all: the hit path of a timed
+// simulator is the functional one.
+type costModel struct {
 	cfg  TimingConfig
-	tlb  *tlb.TLB
-	buf  *tlb.PrefetchBuffer
-	pf   prefetch.Prefetcher
+	rpc  uint64 // RefsPerCycle, 0 spelled as 1
 	ch   *memsys.Channel
-	now  uint64
-	stat TimingStats
+	isRP bool // the busy-channel skip rule applies (found by name: wrappers forward it)
 
-	refAccum uint64 // references since the last base-cycle charge
-	isRP     bool
-	issuable []bool   // per-miss scratch, sized to the prefetch batch
-	scratch  []uint64 // reusable prediction buffer handed to the mechanism
+	stall, inFlightHits, skippedPref uint64
+	issuable                         []bool // per-miss scratch, sized to the prefetch batch
 }
 
-// NewTiming builds a timing simulator. A nil mechanism is the
-// no-prefetching baseline.
-func NewTiming(cfg TimingConfig, pf prefetch.Prefetcher) *TimingSimulator {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if pf == nil {
-		pf = prefetch.Nop{}
-	}
-	occ := cfg.MemOpOccupancy
-	if occ == 0 {
-		occ = cfg.MemOpLatency
-	}
-	return &TimingSimulator{
-		cfg:  cfg,
-		tlb:  tlb.New(cfg.TLB),
-		buf:  tlb.NewPrefetchBuffer(cfg.BufferEntries),
-		pf:   pf,
-		ch:   memsys.NewPipelinedChannel(cfg.MemOpLatency, occ),
-		isRP: pf.Name() == "RP",
-	}
+// cycles is the clock after refs references.
+func (c *costModel) cycles(refs uint64) uint64 {
+	return c.cfg.CyclesPerRef*(refs/c.rpc) + c.stall
 }
 
-// Ref simulates one memory reference and advances the clock.
-func (s *TimingSimulator) Ref(pc, vaddr uint64) {
-	s.tick()
-	s.stat.Refs++
-	vpn := vaddr >> s.cfg.PageShift
-	if s.tlb.Access(vpn) {
-		return
-	}
-	s.miss(pc, vpn)
-}
-
-// RefBatch simulates a chunk of references — exactly len(refs) calls to
-// Ref. The clock advances for every reference; only the TLB probe of a
-// reference to the previous reference's page is skipped, which is exact
-// for the reason given in Simulator.RefBatch (the miss path below mutates
-// the TLB only through its Insert of the missing page).
-func (s *TimingSimulator) RefBatch(refs []trace.Ref) {
-	if len(refs) == 0 {
-		return
-	}
-	shift := s.cfg.PageShift
-	s.stat.Refs += uint64(len(refs))
-	prev := refs[0].VAddr>>shift + 1 // matches no page of the first reference
-	for i := range refs {
-		s.tick()
-		vpn := refs[i].VAddr >> shift
-		if vpn == prev {
-			continue
-		}
-		prev = vpn
-		if s.tlb.Access(vpn) {
-			continue
-		}
-		s.miss(refs[i].PC, vpn)
-	}
-}
-
-// tick charges one reference's base cost to the clock.
-func (s *TimingSimulator) tick() {
-	rpc := s.cfg.RefsPerCycle
-	if rpc == 0 {
-		rpc = 1
-	}
-	s.refAccum++
-	if s.refAccum >= rpc {
-		s.now += s.cfg.CyclesPerRef
-		s.refAccum = 0
-	}
-}
-
-// miss services one TLB miss: the stall, the fill, the mechanism callback
-// and the prefetch issue over the channel.
-func (s *TimingSimulator) miss(pc, vpn uint64) {
-	s.stat.Misses++
-
-	readyAt, bufferHit := s.buf.TakeOut(vpn)
+// miss charges the stall of a TLB miss on the ord-th reference and issues
+// the mechanism's prefetches over the channel, in place of the functional
+// issue loop in Simulator.miss. t is the TLB duplicates are checked
+// against (see Simulator.miss).
+func (c *costModel) miss(s *Simulator, t *tlb.TLB, act prefetch.Action, bufferHit bool, readyAt, ord uint64) {
+	now := c.cycles(ord)
 	if bufferHit {
-		s.stat.BufferHits++
 		// A hit stalls for whichever is longer: the in-flight wait until
 		// the prefetch actually arrives ("it is made to stall until the
 		// entry arrives"), or the residual fill/restart cost — the two
 		// overlap in the pipeline, so the hit pays their maximum.
-		stall := s.cfg.BufferHitPenalty
-		if readyAt > s.now && readyAt-s.now > stall {
-			stall = readyAt - s.now
-			s.stat.InFlightHits++
+		stall := c.cfg.BufferHitPenalty
+		if readyAt > now && readyAt-now > stall {
+			stall = readyAt - now
+			c.inFlightHits++
 		}
-		s.stat.StallCycles += stall
-		s.now += stall
+		c.stall += stall
+		now += stall
 	} else {
-		s.stat.DemandFetches++
-		s.stat.StallCycles += s.cfg.MissPenalty
-		s.now += s.cfg.MissPenalty
-	}
-
-	evicted, hasEvicted := s.tlb.Insert(vpn)
-	act := s.pf.OnMiss(prefetch.Event{
-		VPN:        vpn,
-		PC:         pc,
-		BufferHit:  bufferHit,
-		EvictedVPN: evicted,
-		HasEvicted: hasEvicted,
-	}, s.scratch[:0])
-	if cap(act.Prefetches) > cap(s.scratch) {
-		s.scratch = act.Prefetches
+		c.stall += c.cfg.MissPenalty
+		now += c.cfg.MissPenalty
 	}
 
 	// RP's skip rule: when earlier prefetch traffic is still in flight,
 	// update the stack but do not fetch the neighbours ("there would be
 	// only 4 memory transactions instead of 6").
 	prefetches := act.Prefetches
-	if s.isRP && s.cfg.RPSkipWhenBusy && len(prefetches) > 0 && s.ch.Busy(s.now) {
+	if c.isRP && c.cfg.RPSkipWhenBusy && len(prefetches) > 0 && c.ch.Busy(now) {
 		prefetches = nil
-		s.stat.SkippedPref++
+		c.skippedPref++
 	}
 
 	// Metadata operations occupy the channel first (RP updates the stack
 	// before prefetching), then the prefetch fetches complete one by one.
-	// Issuability is decided once, up front: an insertion below may evict
-	// a buffer entry that a later prefetch in this batch duplicates, and
-	// that later prefetch must still be treated as the duplicate it was at
-	// issue time.
-	s.stat.StateMemOps += uint64(act.StateMemOps)
-	if cap(s.issuable) < len(prefetches) {
-		s.issuable = make([]bool, len(prefetches))
+	// Issuability is decided once, up front — unlike the functional loop,
+	// which checks each prefetch after inserting the previous ones: an
+	// insertion below may evict a buffer entry that a later prefetch in
+	// this batch duplicates, and that later prefetch must still be treated
+	// as the duplicate it was at issue time.
+	if cap(c.issuable) < len(prefetches) {
+		c.issuable = make([]bool, len(prefetches))
 	}
-	issuable := s.issuable[:len(prefetches)]
-	for i := range issuable {
-		issuable[i] = false
-	}
+	issuable := c.issuable[:len(prefetches)]
 	n := 0
 	for i, p := range prefetches {
-		if !s.tlb.Contains(p) && !s.buf.Contains(p) {
-			issuable[i] = true
+		issuable[i] = !t.Contains(p) && !s.buf.Contains(p)
+		if issuable[i] {
 			n++
 		}
 	}
-	after := s.ch.Issue(s.now, act.StateMemOps)
-	completions := s.ch.IssueEach(after, n)
+	after := c.ch.Issue(now, act.StateMemOps)
+	completions := c.ch.IssueEach(after, n)
 
 	ci := 0
 	for i, p := range prefetches {
@@ -293,40 +211,51 @@ func (s *TimingSimulator) miss(pc, vpn uint64) {
 	}
 }
 
-// Run drains a trace reader.
-func (s *TimingSimulator) Run(src trace.Reader) error {
-	for {
-		ref, err := src.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Ref(ref.PC, ref.VAddr)
+// reset returns the channel and the cycle counters to the initial state.
+func (c *costModel) reset() {
+	c.ch.Reset()
+	c.stall, c.inFlightHits, c.skippedPref = 0, 0, 0
+}
+
+// TimingSimulator is a Simulator with the cycle model attached: the same
+// pipeline, reference loops and Group membership (add its Simulator to a
+// Group), plus the TimingStats snapshot. It has no statistics
+// fast-forward: ResetStats panics on it.
+type TimingSimulator struct {
+	*Simulator
+}
+
+// NewTiming builds a timing simulator. A nil mechanism is the
+// no-prefetching baseline. It panics on invalid configuration.
+func NewTiming(cfg TimingConfig, pf prefetch.Prefetcher) *TimingSimulator {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
+	s := New(cfg.Config, pf)
+	occ := cfg.MemOpOccupancy
+	if occ == 0 {
+		occ = cfg.MemOpLatency
+	}
+	s.cost = &costModel{
+		cfg:  cfg,
+		rpc:  max(cfg.RefsPerCycle, 1),
+		ch:   memsys.NewPipelinedChannel(cfg.MemOpLatency, occ),
+		isRP: s.pf.Name() == "RP",
+	}
+	return &TimingSimulator{s}
 }
 
 // Stats returns a snapshot including the cycle counters. As in the
 // functional simulator, PrefetchesUnused includes the entries still
 // resident (never used) in the buffer at snapshot time.
 func (s *TimingSimulator) Stats() TimingStats {
-	st := s.stat
-	st.Cycles = s.now
-	st.PrefetchesUnused = s.buf.UnusedInEpoch()
-	return st
-}
-
-// Now returns the current cycle.
-func (s *TimingSimulator) Now() uint64 { return s.now }
-
-// Reset returns the simulator (and mechanism) to the initial state.
-func (s *TimingSimulator) Reset() {
-	s.tlb.Reset()
-	s.buf.Reset()
-	s.pf.Reset()
-	s.ch.Reset()
-	s.now = 0
-	s.refAccum = 0
-	s.stat = TimingStats{}
+	st := s.Simulator.Stats()
+	c := s.cost
+	return TimingStats{
+		Stats:        st,
+		Cycles:       c.cycles(st.Refs),
+		StallCycles:  c.stall,
+		InFlightHits: c.inFlightHits,
+		SkippedPref:  c.skippedPref,
+	}
 }

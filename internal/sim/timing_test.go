@@ -200,7 +200,7 @@ func TestTimingReset(t *testing.T) {
 	s.Run(trace.NewSliceReader(pageRefs(1, 2, 3, 4, 5)))
 	s.Reset()
 	st := s.Stats()
-	if st.Cycles != 0 || st.Refs != 0 || s.Now() != 0 {
+	if st.Cycles != 0 || st.Refs != 0 || st.StallCycles != 0 || s.cost.ch.FreeAt() != 0 {
 		t.Fatalf("reset left state: %+v", st)
 	}
 }

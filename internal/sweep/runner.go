@@ -54,14 +54,15 @@ type Runner struct {
 	Progress func(ProgressEvent)
 }
 
-// shardKey identifies cells that can share one generation pass and (for
-// functional cells) one sim.Group: same stream (source, seed, length) and
-// same TLB-frontend geometry. Buffer size, mechanism — and for timing
-// shards the cycle-model constants — may differ within a shard; they live
-// in the per-member back half. Mix cells key on the interleaved stream's
-// fingerprint (member sources + quantum) instead of a single source; the
-// switch policy and ASID mode live in the back half because the tagged
-// stream they consume is identical (see Mix.streamFingerprint).
+// shardKey identifies cells that can share one generation pass and one
+// sim.Group: same stream (source, seed, length, warmup) and same
+// TLB-frontend geometry. Buffer size, mechanism and the cycle model (none
+// for functional cells, any constants for timing cells) may differ within
+// a shard; they live in the per-member back half. Mix cells key on the
+// interleaved stream's fingerprint (member sources + quantum) instead of a
+// single source; the switch policy and ASID mode live in the back half
+// because the tagged stream they consume is identical (see
+// Mix.streamFingerprint).
 type shardKey struct {
 	source    Source // canonical: workload name or trace digest (single-source cells)
 	mix       string // Mix.streamFingerprint ("" for single-source cells)
@@ -70,7 +71,6 @@ type shardKey struct {
 	refs      uint64
 	warmup    uint64
 	seed      uint64
-	timing    bool
 }
 
 // shard is one worker unit: the indices (into the caller's job slice) of
@@ -169,7 +169,6 @@ func (r *Runner) Run(jobs []Job) ([]Result, Summary, error) {
 			refs:      j.Refs,
 			warmup:    j.Warmup,
 			seed:      j.Seed,
-			timing:    j.Timing != nil,
 		}
 		si, ok := byKey[k]
 		if !ok {
@@ -341,17 +340,22 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 	if sh.mix != nil {
 		return r.runMixShard(sh, jobs, resolve, settle)
 	}
-	if sh.key.timing {
-		return r.runTimingShard(sh, jobs, resolve, settle)
-	}
 
-	// Functional cells: geometry-identical members share one canonical
-	// TLB frontend via sim.Group (heterogeneous buffer sizes are fine —
-	// the buffer is in the per-member back half).
+	// Geometry-identical members share one canonical TLB frontend via
+	// sim.Group, functional and timing cells alike: buffer size, mechanism
+	// and cycle model all live in the per-member back half. Timing cells
+	// carry no warmup (Validate rejects it), so a shard that splits a
+	// chunk at the statistics reset below holds no timing member.
 	g := sim.NewGroup()
-	for _, idx := range sh.indices {
+	timed := make([]*sim.TimingSimulator, len(sh.indices))
+	for mi, idx := range sh.indices {
 		j := jobs[idx]
-		g.Add(sim.New(j.Config, j.Mech.Build()))
+		if j.Timing == nil {
+			g.Add(sim.New(j.Config, j.Mech.Build()))
+			continue
+		}
+		timed[mi] = sim.NewTiming(j.Timing.Config(j.Config), j.Mech.Build())
+		g.Add(timed[mi].Simulator)
 	}
 	total := sh.key.warmup + sh.key.refs
 	var seen uint64
@@ -377,7 +381,12 @@ func (r *Runner) runShard(sh *shard, jobs []Job, resolve func(string) (workload.
 	}
 	for mi, s := range g.Members() {
 		idx := sh.indices[mi]
-		settle(idx, Result{Key: jobs[idx].Key(), Stats: s.Stats()})
+		res := Result{Key: jobs[idx].Key(), Stats: s.Stats()}
+		if ts := timed[mi]; ts != nil {
+			st := ts.Stats()
+			res.Timing = &st
+		}
+		settle(idx, res)
 	}
 	return nil
 }
@@ -492,35 +501,6 @@ func (r *Runner) runMixShard(sh *shard, jobs []Job, resolve func(string) (worklo
 	for mi, idx := range sh.indices {
 		res := execs[mi].Results()
 		settle(idx, Result{Key: jobs[idx].Key(), Stats: res.Aggregate, Apps: res.Apps})
-	}
-	return nil
-}
-
-// runTimingShard drives the cycle model: the members cannot share a
-// frontend (each owns its clock — and may own different cycle constants),
-// but they do share the single generation pass.
-func (r *Runner) runTimingShard(sh *shard, jobs []Job, resolve func(string) (workload.Workload, bool), settle func(int, Result)) error {
-	sims := make([]*sim.TimingSimulator, len(sh.indices))
-	for mi, idx := range sh.indices {
-		j := jobs[idx]
-		sims[mi] = sim.NewTiming(j.Timing.Config(j.Config), j.Mech.Build())
-	}
-	// Sim-outer over each chunk: every TimingSimulator owns its clock and
-	// shares no state with the others, so walking the chunk once per sim is
-	// bit-identical to the ref-outer order while touching each sim's state
-	// in long cache-friendly runs. Timing jobs carry no warmup (Validate
-	// rejects it), so no chunk needs splitting at a statistics reset.
-	err := r.stream(sh, resolve, sh.key.refs, func(refs []trace.Ref) {
-		for _, s := range sims {
-			s.RefBatch(refs)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	for mi, idx := range sh.indices {
-		st := sims[mi].Stats()
-		settle(idx, Result{Key: jobs[idx].Key(), Stats: st.Stats, Timing: &st})
 	}
 	return nil
 }

@@ -28,6 +28,7 @@ package sweep
 
 import (
 	"fmt"
+	"strings"
 
 	"tlbprefetch/internal/core"
 	"tlbprefetch/internal/prefetch"
@@ -84,6 +85,18 @@ func Kinds() []string {
 		"DP", "DP-PC", "DP2",
 		"STMS", "MASP", "SBFP",
 	}
+}
+
+// ParseKind maps case-insensitive user input ("dp-pc", "None") onto the
+// registry's spelling of a kind. Input matching no kind is returned
+// unchanged, for Mech.Validate to reject.
+func ParseKind(s string) string {
+	for _, k := range Kinds() {
+		if strings.EqualFold(s, k) {
+			return k
+		}
+	}
+	return s
 }
 
 // usesTable reports whether the kind has a prediction table (and therefore

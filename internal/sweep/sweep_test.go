@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tlbprefetch/internal/sim"
+	"tlbprefetch/internal/stats"
 	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/workload"
 )
@@ -231,6 +232,41 @@ func TestTimingJobMatchesDirectSimulator(t *testing.T) {
 	}
 	if res[0].Timing.Cycles == 0 {
 		t.Fatal("no cycles accounted")
+	}
+}
+
+// TestRunnerSharesShardAcrossTimingAndFunctional pins that functional and
+// timing cells of one stream run as one shard behind one shared frontend,
+// and that each cell still equals the same cell run on its own.
+func TestRunnerSharesShardAcrossTimingAndFunctional(t *testing.T) {
+	def, slow := DefaultTiming(), ScaledTiming(300)
+	var jobs []Job
+	for _, kind := range []string{"none", "RP", "DP"} {
+		for _, tm := range []*Timing{nil, &def, &slow} {
+			jobs = append(jobs, Job{Source: WorkloadSource("gzip"), Mech: Mech{Kind: kind, Rows: 256, Slots: 2},
+				Config: sim.Default(), Refs: 30_000, Timing: tm})
+		}
+	}
+	res, sum, err := (&Runner{}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Shards != 1 {
+		t.Fatalf("%d shards, want one for one stream and frontend", sum.Shards)
+	}
+	for i, j := range jobs {
+		alone, _, err := (&Runner{}).Run([]Job{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res[i].Timing == nil) != (j.Timing == nil) {
+			t.Fatalf("job %d: timing stats present %v, want %v", i, res[i].Timing != nil, j.Timing != nil)
+		}
+		got, _ := stats.Fingerprint(res[i])
+		want, _ := stats.Fingerprint(alone[0])
+		if got != want {
+			t.Errorf("job %d (%s, timing %v): shared-shard result %+v != alone %+v", i, j.Mech.Label(), j.Timing != nil, res[i], alone[0])
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ type TimingStats = sim.TimingStats
 // Simulator is the functional TLB + prefetch-buffer pipeline.
 type Simulator = sim.Simulator
 
-// TimingSimulator adds the cycle model.
+// TimingSimulator is a Simulator with the cycle model attached.
 type TimingSimulator = sim.TimingSimulator
 
 // Group fans one reference stream out to many simulators; when all members

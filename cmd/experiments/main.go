@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,42 +30,56 @@ import (
 )
 
 func main() {
-	refs := flag.Uint64("refs", 1_000_000, "references simulated per workload")
-	tlbEntries := flag.Int("tlb", 128, "TLB entries")
-	tlbWays := flag.Int("ways", 0, "TLB associativity (0 = fully associative)")
-	buffer := flag.Int("buffer", 16, "prefetch buffer entries (b)")
-	pageShift := flag.Uint("pageshift", 12, "log2 of the page size")
-	slots := flag.Int("slots", 2, "prediction slots per row (s)")
-	warmup := flag.Uint64("warmup", 0, "references to simulate before counting (statistics fast-forward)")
-	storePath := flag.String("store", "", "sweep result store (JSON): cells found there are not re-simulated, fresh cells are merged back")
-	figFmt := flag.String("figure", "", "render fig7/fig8/fig9/table3-space/ext-modern as a grouped-bar report figure: text, csv or svg")
-	quiet := flag.Bool("q", false, "suppress timing banner")
-	flag.Usage = func() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError is a command-line mistake: main exits 2 for it, as flag does
+// for a malformed flag, and 1 for a failure while running.
+type usageError struct{ error }
+
+// run parses the command line and runs the experiment it names. The
+// experiment name, the -figure format and every option are checked before
+// the store opens or any cell is simulated, so bad input is an error,
+// never a panic.
+func run(args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	refs := fs.Uint64("refs", 1_000_000, "references simulated per workload")
+	tlbEntries := fs.Int("tlb", 128, "TLB entries")
+	tlbWays := fs.Int("ways", 0, "TLB associativity (0 = fully associative)")
+	buffer := fs.Int("buffer", 16, "prefetch buffer entries (b)")
+	pageShift := fs.Uint("pageshift", 12, "log2 of the page size")
+	slots := fs.Int("slots", 2, "prediction slots per row (s)")
+	warmup := fs.Uint64("warmup", 0, "references to simulate before counting (statistics fast-forward)")
+	storePath := fs.String("store", "", "sweep result store (JSON): cells found there are not re-simulated, fresh cells are merged back")
+	figFmt := fs.String("figure", "", "render fig7/fig8/fig9/table3-space/ext-modern as a grouped-bar report figure: text, csv or svg")
+	quiet := fs.Bool("q", false, "suppress timing banner")
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <experiment>\n")
 		fmt.Fprintf(os.Stderr, "experiments: table1 table2 table3 table3-lat table3-space fig7 fig8 fig9 ext-dpvariants ext-cache ext-multiprog ext-pagesize ext-tlbassoc ext-modern all\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	fs.Parse(args) // ExitOnError: a malformed flag exits with the usage
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return usageError{fmt.Errorf("need exactly one experiment, got %d arguments", fs.NArg())}
 	}
-	// Validate the experiment name before doing any work: exiting later
-	// (os.Exit skips defers) would discard freshly simulated store cells.
-	if !knownExperiment(flag.Arg(0)) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+	if !knownExperiment(fs.Arg(0)) {
+		fs.Usage()
+		return usageError{fmt.Errorf("unknown experiment %q", fs.Arg(0))}
 	}
 	switch *figFmt {
 	case "", "text", "csv", "svg":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -figure format %q (text, csv, svg)\n", *figFmt)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown -figure format %q (text, csv, svg)", *figFmt)}
 	}
-	if *figFmt != "" && !figureCapable(flag.Arg(0)) {
-		fmt.Fprintf(os.Stderr, "-figure applies to a single figure experiment (fig7, fig8, fig9, table3-space, ext-modern), not %q\n", flag.Arg(0))
-		os.Exit(2)
+	if *figFmt != "" && !figureCapable(fs.Arg(0)) {
+		return usageError{fmt.Errorf("-figure applies to a single figure experiment (fig7, fig8, fig9, table3-space, ext-modern), not %q", fs.Arg(0))}
 	}
 
 	tally := &sweep.Summary{}
@@ -78,11 +93,13 @@ func main() {
 		WarmupRefs: *warmup,
 		Tally:      tally,
 	}
+	if err := opts.Validate(); err != nil {
+		return usageError{err}
+	}
 	if *storePath != "" {
 		store, err := sweep.OpenStore(*storePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		if n := store.Migrated(); n > 0 {
 			fmt.Fprintf(os.Stderr, "experiments: migrated %d cells from store schema %d to %d\n", n, store.MigratedFrom(), sweep.KeySchema)
@@ -116,7 +133,7 @@ func main() {
 		}
 	}
 
-	run := func(name string) {
+	runOne := func(name string) {
 		start := time.Now()
 		switch name {
 		case "table1":
@@ -196,15 +213,16 @@ func main() {
 		}
 	}
 
-	if flag.Arg(0) == "all" {
+	if fs.Arg(0) == "all" {
 		for _, name := range allExperiments {
-			run(name)
+			runOne(name)
 		}
 	} else {
-		run(flag.Arg(0))
+		runOne(fs.Arg(0))
 	}
 	fmt.Fprintf(os.Stderr, "experiments: %d cells (%d cached, %d run in %d shards)\n",
 		tally.Total, tally.Cached, tally.Ran, tally.Shards)
+	return nil
 }
 
 // allExperiments is the "all" ordering (the paper's presentation order,

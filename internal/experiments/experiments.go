@@ -8,6 +8,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/sweep"
@@ -57,6 +59,20 @@ func DefaultOptions() Options {
 		PageShift:  12,
 		Slots:      2,
 	}
+}
+
+// Validate reports whether the options describe runnable cells: a valid
+// simulator configuration plus positive Refs and Slots. Experiments assume
+// valid options; an invalid field would otherwise surface as a panic deep
+// in the sweep engine.
+func (o Options) Validate() error {
+	if o.Refs == 0 {
+		return fmt.Errorf("Options.Refs must be positive")
+	}
+	if o.Slots <= 0 {
+		return fmt.Errorf("Options.Slots must be positive, got %d", o.Slots)
+	}
+	return o.simConfig().Validate()
 }
 
 func (o Options) simConfig() sim.Config {

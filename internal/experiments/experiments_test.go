@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"tlbprefetch/internal/sweep"
 	"tlbprefetch/internal/workload"
 )
 
@@ -368,6 +371,51 @@ func TestExtCacheShape(t *testing.T) {
 			if r.DP > 0.2 {
 				t.Errorf("cache-chase: DP %.2f should fail on a full shuffle", r.DP)
 			}
+		}
+	}
+}
+
+// TestExtCacheCachedRerun: ext-cache's nine cells live in the sweep store
+// like any other experiment's, so a second call on the same store simulates
+// nothing and returns the same rows.
+func TestExtCacheCachedRerun(t *testing.T) {
+	store, err := sweep.OpenStore(filepath.Join(t.TempDir(), "ext.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Refs = 40_000
+	opts.Store = store
+	var first, second sweep.Summary
+	opts.Tally = &first
+	rows := ExtCache(opts)
+	opts.Tally = &second
+	again := ExtCache(opts)
+	if first.Total != 9 || first.Ran != 9 || first.Shards != 3 {
+		t.Errorf("cold call tallied %+v, want 9 cells run in 3 shards", first)
+	}
+	if second.Total != 9 || second.Cached != 9 || second.Ran != 0 {
+		t.Errorf("warm call tallied %+v, want 9 cached and 0 run", second)
+	}
+	if !reflect.DeepEqual(rows, again) {
+		t.Errorf("cached rows differ:\n%+v\n%+v", rows, again)
+	}
+}
+
+// TestExtCacheTooFewRefs: below four references per workload no stream
+// gets a reference, so ExtCache declares no cells and reports zero rows.
+func TestExtCacheTooFewRefs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Refs = 3
+	var tally sweep.Summary
+	opts.Tally = &tally
+	rows := ExtCache(opts)
+	if len(rows) != 3 || tally.Total != 0 {
+		t.Fatalf("rows %+v, tally %+v", rows, tally)
+	}
+	for _, r := range rows {
+		if r != (ExtCacheRow{Workload: r.Workload}) {
+			t.Errorf("non-zero row %+v", r)
 		}
 	}
 }

@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"tlbprefetch/internal/cachesim"
 	"tlbprefetch/internal/multiprog"
-	"tlbprefetch/internal/prefetch"
 	"tlbprefetch/internal/report"
+	"tlbprefetch/internal/sim"
 	"tlbprefetch/internal/stats"
 	"tlbprefetch/internal/sweep"
+	"tlbprefetch/internal/tlb"
 	"tlbprefetch/internal/workload"
-	"tlbprefetch/internal/xrand"
 )
 
 // --- Extension A: DP indexing variants -------------------------------------
@@ -46,101 +45,48 @@ type ExtCacheRow struct {
 	SP       float64
 }
 
-// ExtCache drives a 32 KiB / 64 B-block / 4-way cache with DP, ASP and SP
-// prefetching into a 16-entry buffer, over cache-grained versions of three
-// behaviour classes. Block distances play the role page distances play in
-// the TLB: the mechanism is unchanged.
+// ExtCache runs DP, ASP and SP, prefetching into a 16-entry buffer, over
+// the three block-grained streams of workload.BlockStreams. The simulator
+// is the TLB pipeline at block granularity: PageShift 6 makes a 512-entry
+// 4-way TLB a 32 KiB / 64 B-block / 4-way cache, and block distances play
+// the role page distances play in the TLB — the mechanism is unchanged.
+// The nine cells are ordinary sweep cells, so an Options.Store caches them
+// and a tlbsweep grid over the same streams and geometry declares the same
+// keys. Each stream runs Refs/4 references with no warmup axis;
+// Options.WarmupRefs and the TLB, buffer and page-size options are
+// ignored here.
 func ExtCache(opts Options) []ExtCacheRow {
-	// Streams are written at cache-block granularity (64-byte steps), the
-	// unit the cache-level DP predictor works in.
-	const block = 64
-	cacheWls := []workload.Workload{
-		cacheWorkload("cache-seq", 0xC101, func() []workload.Phase {
-			// Fresh sequential block stream with 4 touches per block.
-			next := uint64(1 << 30)
-			return []workload.Phase{workload.PhaseFunc(func(emit workload.EmitFunc, _ *xrand.Rand) bool {
-				for i := 0; i < 4096; i++ {
-					for j := 0; j < 4; j++ {
-						if !emit(0x900000, next+uint64(j*8)) {
-							return false
-						}
-					}
-					next += block
-				}
-				return true
-			})}
-		}),
-		cacheWorkload("cache-motif", 0xC102, func() []workload.Phase {
-			// A fixed block-offset motif applied to fresh block groups —
-			// the TLB-level class (d) behaviour, one level down.
-			motif := []int64{0, 2, 5, 1, 4}
-			next := uint64(1 << 30)
-			return []workload.Phase{workload.PhaseFunc(func(emit workload.EmitFunc, _ *xrand.Rand) bool {
-				for g := 0; g < 512; g++ {
-					for _, d := range motif {
-						addr := next + uint64(d*block)
-						if !emit(0x910000, addr) {
-							return false
-						}
-					}
-					next += 6 * block
-				}
-				return true
-			})}
-		}),
-		cacheWorkload("cache-chase", 0xC103, func() []workload.Phase {
-			// A fixed shuffled visit order over 2048 blocks, repeated.
-			var order []uint32
-			return []workload.Phase{workload.PhaseFunc(func(emit workload.EmitFunc, r *xrand.Rand) bool {
-				if order == nil {
-					for _, v := range r.Perm(2048) {
-						order = append(order, uint32(v))
-					}
-				}
-				for _, idx := range order {
-					if !emit(0x920000, 1<<30+uint64(idx)*block) {
-						return false
-					}
-				}
-				return true
-			})}
-		}),
+	streams := workload.BlockStreams()
+	out := make([]ExtCacheRow, len(streams))
+	for i, w := range streams {
+		out[i].Workload = w.Name
 	}
-	var out []ExtCacheRow
-	cfg := cachesim.Config{SizeBytes: 32 << 10, BlockBytes: 64, Ways: 4, BufferEntries: 16}
-	for _, w := range cacheWls {
-		row := ExtCacheRow{Workload: w.Name}
-		for i, mk := range []func() prefetch.Prefetcher{
-			func() prefetch.Prefetcher { return MechConfig{Kind: "DP", Rows: 256, Ways: 1}.Build(opts) },
-			func() prefetch.Prefetcher { return MechConfig{Kind: "ASP", Rows: 256, Ways: 1}.Build(opts) },
-			func() prefetch.Prefetcher { return prefetch.NewSequential(true) },
-		} {
-			c := cachesim.New(cfg, mk())
-			workload.Generate(w, opts.Refs/4, func(pc, vaddr uint64) bool {
-				c.Ref(pc, vaddr)
-				return true
+	refs := opts.Refs / 4
+	if refs == 0 {
+		return out
+	}
+	mechs := []MechConfig{{Kind: "DP", Rows: 256, Ways: 1}, {Kind: "ASP", Rows: 256, Ways: 1}, {Kind: "SP"}}
+	cfg := sim.Config{TLB: tlb.Config{Entries: 512, Ways: 4}, BufferEntries: 16, PageShift: 6}
+	jobs := make([]sweep.Job, 0, len(streams)*len(mechs))
+	for _, w := range streams {
+		for _, m := range mechs {
+			jobs = append(jobs, sweep.Job{
+				Source: sweep.WorkloadSource(w.Name),
+				Mech:   m.sweepMech(opts),
+				Config: cfg,
+				Refs:   refs,
 			})
-			st := c.Stats()
-			switch i {
-			case 0:
-				row.DP = st.Accuracy()
-				row.MissRate = st.MissRate()
-			case 1:
-				row.ASP = st.Accuracy()
-			case 2:
-				row.SP = st.Accuracy()
-			}
 		}
-		out = append(out, row)
+	}
+	results := runJobs(nil, opts, jobs)
+	for i := range out {
+		dp := results[i*len(mechs)].Stats
+		out[i].MissRate = dp.MissRate()
+		out[i].DP = dp.Accuracy()
+		out[i].ASP = results[i*len(mechs)+1].Stats.Accuracy()
+		out[i].SP = results[i*len(mechs)+2].Stats.Accuracy()
 	}
 	return out
-}
-
-// cacheWorkload wraps a phase builder as a workload. The generators emit
-// page-granular addresses; at cache granularity each "page" unit simply
-// spans 64 blocks, which is exactly the scale shift the extension studies.
-func cacheWorkload(name string, seed uint64, build func() []workload.Phase) workload.Workload {
-	return workload.Workload{Name: name, Suite: "cache", Seed: seed, Build: build}
 }
 
 // FormatExtCache renders the cache-level rows.

@@ -275,3 +275,42 @@ func TestPageShiftGranularity(t *testing.T) {
 		t.Fatalf("8K misses = %d, want 1", st.Misses)
 	}
 }
+
+// blockCfg is a 1 KiB, 64 B-block, 4-way cache: the simulator at cache-block
+// granularity, as the ext-cache experiment runs it.
+func blockCfg() Config {
+	return Config{TLB: tlb.Config{Entries: 16, Ways: 4}, BufferEntries: 8, PageShift: 6}
+}
+
+func TestBlockGranularity(t *testing.T) {
+	s := New(blockCfg(), nil)
+	s.Ref(0, 0x1000) // block 0x40
+	s.Ref(0, 0x103f) // same 64-byte block -> hit
+	s.Ref(0, 0x1040) // next block -> miss
+	if st := s.Stats(); st.Refs != 3 || st.Misses != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestDistancePrefetchingAtCacheLevel(t *testing.T) {
+	// Stride-2-blocks stream: DP learns "distance 2 follows distance 2"
+	// exactly as it learns page distances at the TLB level.
+	s := New(blockCfg(), core.NewDistance(64, 1, 2))
+	addr := uint64(1 << 20)
+	for i := 0; i < 2000; i++ {
+		s.Ref(0, addr)
+		addr += 128 // two blocks
+	}
+	if st := s.Stats(); st.Misses != 2000 || st.Accuracy() < 0.99 {
+		t.Fatalf("DP at cache level: %d misses, accuracy %.3f, want 2000 and ~1", st.Misses, st.Accuracy())
+	}
+}
+
+func TestInvalidConfigPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted an invalid config")
+		}
+	}()
+	New(Config{}, nil)
+}

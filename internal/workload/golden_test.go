@@ -38,7 +38,8 @@ func streamDigest(w Workload, refs uint64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenStreamDigests pins every registry workload's reference stream.
+// TestGoldenStreamDigests pins every registry workload's reference stream,
+// and the block-grained streams ByName also resolves.
 // Sweep cells are keyed by workload name and seed, not by stream content,
 // so a generator change that moves any reference would silently invalidate
 // stored results. The digests in testdata/stream_digests.txt may change
@@ -46,7 +47,8 @@ func streamDigest(w Workload, refs uint64) string {
 // cell key; a failure here otherwise means a stream moved by accident.
 func TestGoldenStreamDigests(t *testing.T) {
 	want := readGoldenDigests(t)
-	for _, w := range All() {
+	pinned := append(All(), BlockStreams()...)
+	for _, w := range pinned {
 		for _, seed := range goldenSeeds {
 			id := fmt.Sprintf("%s %d", w.Name, seed)
 			t.Run(w.Name+"/"+strconv.FormatUint(seed, 10), func(t *testing.T) {
@@ -62,7 +64,7 @@ func TestGoldenStreamDigests(t *testing.T) {
 			})
 		}
 	}
-	if n := len(All()) * len(goldenSeeds); len(want) != n {
+	if n := len(pinned) * len(goldenSeeds); len(want) != n {
 		t.Errorf("golden file has %d digests, want %d (one per workload and seed)", len(want), n)
 	}
 }

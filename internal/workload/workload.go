@@ -177,11 +177,14 @@ func Suite(name string) []Workload {
 	return out
 }
 
-// ByName looks a workload up by its benchmark name.
+// ByName looks a workload up by its benchmark name, or by the name of one
+// of the block-grained streams (BlockStreams), which no listing includes.
 func ByName(name string) (Workload, bool) {
-	for _, w := range registry {
-		if w.Name == name {
-			return w, true
+	for _, ws := range [][]Workload{registry, blockStreams} {
+		for _, w := range ws {
+			if w.Name == name {
+				return w, true
+			}
 		}
 	}
 	return Workload{}, false

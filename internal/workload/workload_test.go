@@ -54,6 +54,27 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestBlockStreamsResolveButAreUnlisted: sweep cells name the block-grained
+// streams through ByName, while the 56-application listings stay as they
+// are.
+func TestBlockStreamsResolveButAreUnlisted(t *testing.T) {
+	listed := map[string]bool{}
+	for _, n := range Names() {
+		listed[n] = true
+	}
+	for _, b := range BlockStreams() {
+		if w, ok := ByName(b.Name); !ok || w.Seed != b.Seed {
+			t.Errorf("ByName(%q) = %+v, %v", b.Name, w, ok)
+		}
+		if listed[b.Name] {
+			t.Errorf("Names lists block stream %q", b.Name)
+		}
+	}
+	if got := Suite("cache"); len(got) != 0 {
+		t.Errorf("Suite(cache) lists %d workloads", len(got))
+	}
+}
+
 func TestSuiteOrderStable(t *testing.T) {
 	spec := Suite("SPEC")
 	if len(spec) != 26 {

@@ -314,3 +314,64 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}()
 	New(Config{}, nil)
 }
+
+func TestBlockConfigValidate(t *testing.T) {
+	if err := blockCfg().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bad := []Config{
+		{TLB: tlb.Config{Entries: 0, Ways: 4}, BufferEntries: 8, PageShift: 6},
+		{TLB: tlb.Config{Entries: 10, Ways: 4}, BufferEntries: 8, PageShift: 6}, // not divisible
+		{TLB: tlb.Config{Entries: 16, Ways: 4}, BufferEntries: 0, PageShift: 6},
+		{TLB: tlb.Config{Entries: 16, Ways: 4}, BufferEntries: 8, PageShift: 0},
+	}
+	for _, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Errorf("accepted invalid %+v", c)
+		}
+	}
+}
+
+func TestNopBaseline(t *testing.T) {
+	s := New(blockCfg(), prefetch.Nop{})
+	for i := uint64(0); i < 100; i++ {
+		s.Ref(0, i*64)
+	}
+	if st := s.Stats(); st.Misses != 100 || st.BufferHits != 0 || st.Accuracy() != 0 {
+		t.Fatalf("baseline hit the buffer: %+v", st)
+	}
+}
+
+func TestRunFromTrace(t *testing.T) {
+	refs := make([]trace.Ref, 100)
+	for i := range refs {
+		refs[i] = trace.Ref{VAddr: uint64(i) * 64}
+	}
+	s := New(blockCfg(), prefetch.NewSequential(true))
+	if err := s.Run(trace.NewSliceReader(refs)); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Refs != 100 {
+		t.Fatalf("refs = %d", st.Refs)
+	}
+	// Sequential blocks: SP covers nearly everything after the first.
+	if st.Accuracy() < 0.9 {
+		t.Fatalf("SP accuracy = %.3f", st.Accuracy())
+	}
+}
+
+func TestFullyAssociativeDefault(t *testing.T) {
+	// Ways 0 means fully associative: 4 blocks capacity, 4 distinct blocks
+	// then a re-touch of each.
+	s := New(Config{TLB: tlb.Config{Entries: 4, Ways: 0}, BufferEntries: 4, PageShift: 6}, nil)
+	for i := uint64(0); i < 4; i++ {
+		s.Ref(0, i*64)
+	}
+	for i := uint64(0); i < 4; i++ {
+		s.Ref(0, i*64)
+	}
+	if st := s.Stats(); st.Misses != 4 {
+		t.Fatalf("misses = %d, want 4 (all re-touches hit)", st.Misses)
+	}
+}
